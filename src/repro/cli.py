@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lp-chunk", dest="lp_chunk", type=int, default=None,
                    help="LP chunk size: 0 = node-at-a-time scan, >= 1 = "
                         "chunked kernels (default: REPRO_LP_CHUNK, then "
-                        "the kernel default)")
+                        "1024, except that at p=1 graphs under 4096 nodes "
+                        "use the scan)")
     p.add_argument("--store", choices=("memory", "mmap"), default=None,
                    help="graph storage: 'memory' loads the whole CSR into "
                         "RAM, 'mmap' streams arcs from a sharded on-disk "
@@ -473,7 +474,14 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FileNotFoundError as exc:
+        # A missing input is a usage error: one line, argparse's exit code.
+        detail = (f"{exc.filename}: No such file or directory"
+                  if exc.filename is not None else str(exc))
+        print(f"{parser.prog}: error: {detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

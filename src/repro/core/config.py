@@ -80,8 +80,10 @@ class PartitionConfig:
     spmd_timeout: float | None = None
     #: label-propagation engine selector: 0 = node-at-a-time scan, >= 1 =
     #: chunked kernels with that chunk size (1 is bit-identical to the
-    #: scan); ``None`` defers to ``REPRO_LP_CHUNK``, then the kernel
-    #: default (see repro.engine.kernels)
+    #: scan).  Honoured by every LP call at any p; ``None`` defers to
+    #: ``REPRO_LP_CHUNK``, then the default: chunk 1024 on the
+    #: distributed path, and at p = 1 chunk 1024 on graphs of at least
+    #: ``repro.engine.kernels.CHUNKED_MIN_NODES`` nodes, the scan below
     lp_chunk_size: int | None = None
     #: sweep selector for the chunked LP kernels: ``'full'`` rescans every
     #: node each iteration, ``'frontier'`` only the active set (label-

@@ -37,10 +37,14 @@ Python lists (``chunk_size=0``), and the vectorised chunked kernels,
 which evaluate ``chunk_size`` nodes against a chunk-start snapshot and
 commit eligible moves between chunks (``chunk_size=1`` is bit-identical
 to the scan; larger chunks trade phase-internal staleness for
-throughput).  Chunking here is opt-in — with no explicit ``chunk_size``
-and no ``REPRO_LP_CHUNK`` the scan engine runs, keeping seeded
-sequential quality baselines intact; the distributed wrapper in
-:mod:`repro.dist.dist_lp` defaults to chunked.
+throughput).  The chunk size resolves in one order: an explicit
+``chunk_size`` (the pipeline passes ``PartitionConfig.lp_chunk_size``),
+then ``REPRO_LP_CHUNK``, then a default gated on graph size — the
+adaptive chunked sweep at :data:`~repro.engine.kernels.DEFAULT_CHUNK_SIZE`
+on graphs of at least :data:`~repro.engine.kernels.CHUNKED_MIN_NODES`
+nodes, the scan below, where its lower per-iteration overhead wins
+(crossover table in ``docs/algorithms.md``).  Coarse levels and other
+small graphs therefore stay on the scan.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ import numpy as np
 from ..engine.backend import LocalBackend
 from ..engine.kernels import (
     ADAPTIVE_ENGINE,
+    CHUNKED_MIN_NODES,
+    DEFAULT_CHUNK_SIZE,
     FRONTIER_ENGINE,
     FULL_ENGINE,
     SCAN_ENGINE,
@@ -136,7 +142,10 @@ def size_constrained_label_propagation(
     chunk_size:
         Engine selector: ``0`` = node-at-a-time scan, ``>= 1`` = chunked
         kernels (``1`` is bit-identical to the scan); ``None`` defers to
-        ``REPRO_LP_CHUNK`` and the built-in default.
+        ``REPRO_LP_CHUNK``, then to the size-gated default
+        (:data:`~repro.engine.kernels.DEFAULT_CHUNK_SIZE` from
+        :data:`~repro.engine.kernels.CHUNKED_MIN_NODES` nodes up, the
+        scan below).
     engine:
         Sweep selector for the chunked kernels: ``'full'`` rescans every
         node each iteration, ``'frontier'`` only the active set (label-
@@ -147,7 +156,8 @@ def size_constrained_label_propagation(
         ``chunk_size > 1`` (default ``adaptive``) and always picks
         ``full`` at the bit-exact ``chunk_size == 1`` — the environment
         cannot silently change bit-exact results, only an explicit
-        static ``engine=`` can.  Ignored by the scan engine.
+        static ``engine=`` can.  Ignored by the scan engine, including
+        when the size gate picks it.
 
     Returns
     -------
@@ -163,14 +173,17 @@ def size_constrained_label_propagation(
     if n == 0:
         return labels.copy()
 
-    chunk = resolve_chunk_size(chunk_size, default=SCAN_ENGINE)
+    requested = resolve_chunk_size(chunk_size, default=None)
+    chunk = requested
+    if chunk is None:
+        chunk = DEFAULT_CHUNK_SIZE if n >= CHUNKED_MIN_NODES else SCAN_ENGINE
     if chunk != 0:
         resolved_engine = resolve_engine(
             engine,
             default=ADAPTIVE_ENGINE if chunk > 1 else FULL_ENGINE,
             chunk=chunk,
         )
-    elif engine == FRONTIER_ENGINE:
+    elif engine == FRONTIER_ENGINE and requested is not None:
         raise ValueError(
             "the frontier engine requires the chunked kernels "
             "(chunk_size >= 1); chunk_size=0 selects the scan engine"

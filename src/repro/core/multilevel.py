@@ -127,6 +127,8 @@ class LocalVcycleBackend(LocalCoarseningBackend):
             self.lmax,
             self.config.refinement_iterations,
             self.rng,
+            chunk_size=self.config.lp_chunk_size,
+            engine=self.config.lp_engine,
         )
 
     def initial_cut_fields(
@@ -153,6 +155,8 @@ class LocalVcycleBackend(LocalCoarseningBackend):
             self.lmax,
             self.config.refinement_iterations,
             self.rng,
+            chunk_size=self.config.lp_chunk_size,
+            engine=self.config.lp_engine,
         )
 
     def level_cut(self, level: HierarchyLevel, partition: np.ndarray) -> int:

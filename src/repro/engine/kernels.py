@@ -34,7 +34,9 @@ chunking applies the same idea within a PE's own scan.
 
 Engine selection: ``resolve_chunk_size`` maps an explicit value, the
 ``REPRO_LP_CHUNK`` environment variable, or the built-in default to a
-chunk size; ``0`` selects the legacy scalar scan.  Orthogonally,
+chunk size; ``0`` selects the legacy scalar scan.  The sequential
+engine's built-in default is size-gated: the chunked kernels from
+:data:`CHUNKED_MIN_NODES` nodes up, the scan below.  Orthogonally,
 ``resolve_engine`` picks between the ``full`` sweep (every phase scans
 every node), the ``frontier`` engine (phases after the first rescan
 only the *active set*), and the default ``adaptive`` engine (the
@@ -71,6 +73,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
+    "CHUNKED_MIN_NODES",
     "SCAN_ENGINE",
     "FULL_ENGINE",
     "FRONTIER_ENGINE",
@@ -132,19 +135,27 @@ FRONTIER_FULL_SWEEP_FRACTION = 0.5
 #: leaving large instances at the requested chunk size
 MIN_REFRESHES_PER_PHASE = 32
 
+#: smallest graph on which the sequential engine defaults to the chunked
+#: kernels — every phase there runs at least MIN_REFRESHES_PER_PHASE
+#: chunks of at least 128 nodes.  Below it the fixed per-chunk overhead
+#: (~6 ms per iteration) loses to the node-at-a-time scan; above it the
+#: chunked sweep wins, by ~3-4x at 2^15 nodes (table in docs/algorithms.md)
+CHUNKED_MIN_NODES = 128 * MIN_REFRESHES_PER_PHASE
+
 
 def resolve_chunk_size(
-    explicit: int | None = None, default: int = DEFAULT_CHUNK_SIZE
-) -> int:
+    explicit: int | None = None, default: int | None = DEFAULT_CHUNK_SIZE
+) -> int | None:
     """Resolve the LP engine selector to a chunk size.
 
-    ``explicit`` wins when given (``0`` = scan engine, ``>= 1`` = chunked
-    kernels; negative values are rejected).  Otherwise ``REPRO_LP_CHUNK``
-    is consulted, with empty/invalid/negative values falling back to
+    Precedence: ``explicit`` (a function argument or
+    ``PartitionConfig.lp_chunk_size``; ``0`` = scan engine, ``>= 1`` =
+    chunked kernels, negative values are rejected), then
+    ``REPRO_LP_CHUNK`` (empty/invalid/negative values are ignored), then
     ``default``.  The distributed hot path defaults to
     :data:`DEFAULT_CHUNK_SIZE`; the sequential engine passes
-    ``default=SCAN_ENGINE`` so chunking there is opt-in (its node-at-a-
-    time results are baked into seeded quality baselines).
+    ``default=None`` and, when nothing was requested, picks by graph
+    size (:data:`CHUNKED_MIN_NODES`).
     """
     if explicit is not None:
         value = int(explicit)

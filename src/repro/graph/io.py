@@ -316,4 +316,7 @@ def write_partition(partition: np.ndarray, path: str | Path) -> None:
 
 def read_partition(path: str | Path) -> np.ndarray:
     """Read a partition file written by :func:`write_partition`."""
-    return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    # Open first: a missing file then raises the standard errno
+    # FileNotFoundError naming the path (np.loadtxt's own does not).
+    with open(path, "r", encoding="ascii") as handle:
+        return np.loadtxt(handle, dtype=np.int64, ndmin=1)

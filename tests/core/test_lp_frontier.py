@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.label_propagation import size_constrained_label_propagation
-from repro.core.lp_kernels import (
+from repro.engine.kernels import (
     ADAPTIVE_ENGINE,
     FRONTIER_ENGINE,
     FULL_ENGINE,

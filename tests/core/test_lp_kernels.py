@@ -1,4 +1,4 @@
-"""Tests for the vectorised chunked SCLP kernels (repro.core.lp_kernels).
+"""Tests for the vectorised chunked SCLP kernels (repro.engine.kernels).
 
 The load-bearing contract: ``chunk_size=1`` reproduces the node-at-a-time
 scan engine *bit for bit* — same labels, same tie-RNG stream — across
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.label_propagation import size_constrained_label_propagation
-from repro.core.lp_kernels import (
+from repro.engine.kernels import (
     DEFAULT_CHUNK_SIZE,
     MIN_REFRESHES_PER_PHASE,
     SCAN_ENGINE,
@@ -157,7 +157,7 @@ class TestPickTargets:
         seg_count = np.asarray(seg, dtype=np.int64)
         seg_start = np.zeros(len(seg), dtype=np.int64)
         np.cumsum(seg_count[:-1], out=seg_start[1:])
-        from repro.core.lp_kernels import ChunkCandidates
+        from repro.engine.kernels import ChunkCandidates
 
         return ChunkCandidates(
             node_pos=node_pos,

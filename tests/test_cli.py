@@ -98,3 +98,44 @@ class TestInstancesCommand:
         assert main(["instances"]) == 0
         out = capsys.readouterr().out
         assert "uk-2007" in out and "rgg26" in out
+
+
+class TestMissingInput:
+    """A missing input file is one line on stderr and exit code 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{missing}"],
+        ["report", "{missing}"],
+        ["partition", "{missing}", "-k", "2"],
+        ["evaluate", "{missing}", "{missing}"],
+    ])
+    def test_missing_file(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "nope.metis")
+        code = main([arg.format(missing=missing) for arg in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro: error: {missing}: No such file or directory\n"
+        )
+        assert "Traceback" not in captured.out
+
+    def test_missing_initial_partition(self, metis_graph, tmp_path, capsys):
+        missing = str(tmp_path / "warm.part")
+        code = main(["partition", str(metis_graph), "-k", "2",
+                     "--initial-partition", missing])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: {missing}: No such file or directory\n"
+        )
+
+    def test_missing_compare_baseline(self, metis_graph, tmp_path, capsys):
+        trace = tmp_path / "t.json"
+        assert main(["partition", str(metis_graph), "-k", "2",
+                     "--trace", str(trace)]) == 0
+        missing = str(tmp_path / "base.run.json")
+        code = main(["analyze", str(tmp_path / "t.events.jsonl"),
+                     "--compare", missing])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            f"repro: error: {missing}: No such file or directory\n"
+        )
