@@ -33,6 +33,7 @@ from .api import partition_graph
 from .core.clustering import cluster_graph
 from .graph import (
     Graph,
+    GraphError,
     convert_to_sharded,
     is_sharded_dir,
     load_npz,
@@ -481,6 +482,10 @@ def main(argv: list[str] | None = None) -> int:
         detail = (f"{exc.filename}: No such file or directory"
                   if exc.filename is not None else str(exc))
         print(f"{parser.prog}: error: {detail}", file=sys.stderr)
+        return 2
+    except GraphError as exc:
+        # Malformed input: the readers name the path and line themselves.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 
 

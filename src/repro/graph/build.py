@@ -8,12 +8,14 @@ dropped.  The result therefore always satisfies the invariants
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .csr import Graph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "from_edges",
@@ -77,13 +79,19 @@ def from_coo(
 ) -> Graph:
     """Build a graph from COO-style arrays, symmetrising and deduplicating.
 
-    Uses :mod:`scipy.sparse` for the heavy lifting: ``A + A.T`` with
-    duplicate summation, then the diagonal is removed.  The weight of an
-    undirected edge present in both orientations of the input is counted
-    once per orientation (standard COO-duplicate semantics), which lets
-    callers feed either half- or full-symmetric inputs as long as they are
-    consistent about it.
+    Self-loops are dropped, each edge is canonicalised to ``(min, max)``
+    so that duplicates in either orientation merge by summing their
+    weights, edges whose summed weight is 0 are dropped, and the rest are
+    mirrored into CSR with each neighbour list sorted ascending.  The
+    weight of an undirected edge present in both orientations of the
+    input is therefore counted once per orientation (standard
+    COO-duplicate semantics), which lets callers feed either half- or
+    full-symmetric inputs as long as they are consistent about it.
+    Raises ``ValueError`` if an endpoint lies outside ``[0, num_nodes)``.
     """
+    n = int(num_nodes)
+    if n < 0:
+        raise ValueError(f"num_nodes must be non-negative, got {n}")
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if weights is None:
@@ -91,15 +99,53 @@ def from_coo(
     weights = np.asarray(weights, dtype=np.int64)
     keep = rows != cols  # drop self loops before symmetrising
     rows, cols, weights = rows[keep], cols[keep], weights[keep]
-    # Canonicalise each undirected edge to (min, max) so that duplicates in
-    # either orientation merge, then mirror once.
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
-    upper = sp.coo_matrix((weights, (lo, hi)), shape=(num_nodes, num_nodes))
-    upper.sum_duplicates()
-    mat = (upper + upper.T).tocsr()
-    mat.sort_indices()
-    return from_scipy(mat, vwgt=vwgt, name=name)
+    # The dels below free each intermediate as soon as it is dead, which
+    # keeps the transient footprint under the SciPy build this replaced.
+    del rows, cols, keep
+    if lo.size and (lo.min() < 0 or hi.max() >= n):
+        raise ValueError(f"edge endpoint outside [0, {n})")
+    # Sort the canonical pairs by (lo, hi) through one scalar key (n**2
+    # fits int64 for any n that fits in memory) and sum runs of equal keys.
+    key = lo * n + hi
+    del lo, hi
+    order = np.argsort(key)
+    key = key[order]
+    weights = weights[order]
+    del order
+    if key.size:
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first
+        weights = np.add.reduceat(weights, starts)
+        key = key[starts]
+        del starts
+    nonzero = weights != 0
+    lo, hi = np.divmod(key[nonzero], max(n, 1))
+    weights = weights[nonzero]
+    del key, nonzero
+    # Mirror.  The upper arcs (lo -> hi) are already in CSR order, and the
+    # mirrored arcs (hi -> lo) of one source appear with ascending lo; all
+    # mirrored targets of a node are below it and all upper targets above,
+    # so one stable sort by source over [mirrored, upper] yields CSR order.
+    src = np.concatenate([hi, lo])
+    xadj = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=xadj[1:])
+    order = np.argsort(src, kind="stable")
+    del src
+    adjncy = np.concatenate([lo, hi])[order]
+    del lo, hi
+    adjwgt = np.concatenate([weights, weights])[order]
+    return Graph(
+        xadj,
+        adjncy,
+        np.ones(n, dtype=np.int64) if vwgt is None else vwgt,
+        adjwgt,
+        name=name,
+    )
 
 
 def from_scipy(mat: sp.spmatrix, vwgt: np.ndarray | None = None, name: str = "graph") -> Graph:
@@ -109,6 +155,8 @@ def from_scipy(mat: sp.spmatrix, vwgt: np.ndarray | None = None, name: str = "gr
     (checked cheaply by arc-count parity in :class:`Graph` validation and
     thoroughly by :func:`repro.graph.validation.check_graph`).
     """
+    import scipy.sparse as sp
+
     coo = sp.coo_matrix(mat)
     off_diag = coo.row != coo.col
     csr = sp.csr_matrix(
@@ -129,6 +177,8 @@ def from_scipy(mat: sp.spmatrix, vwgt: np.ndarray | None = None, name: str = "gr
 
 def to_scipy(graph: Graph) -> sp.csr_matrix:
     """Weighted adjacency matrix of ``graph`` as ``scipy.sparse.csr_matrix``."""
+    import scipy.sparse as sp
+
     return sp.csr_matrix(
         (graph.adjwgt.astype(np.float64), graph.adjncy, graph.xadj),
         shape=(graph.num_nodes, graph.num_nodes),

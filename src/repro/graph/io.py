@@ -18,7 +18,10 @@ Partition files are one block id per line, as written by the real tools.
 from __future__ import annotations
 
 import io
+import re
+import warnings
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -85,20 +88,51 @@ def write_metis(graph: Graph, path: str | Path | io.TextIOBase) -> None:
 
 
 def read_metis(path: str | Path | io.TextIOBase, name: str | None = None) -> Graph:
-    """Read a graph in METIS format."""
+    """Read a graph in METIS format.
+
+    Malformed input raises :class:`GraphError` naming the 1-based file
+    line (and, for a file path, the path).
+    """
     if isinstance(path, io.TextIOBase):
-        lines = path.read().splitlines()
-    else:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-        name = name or Path(path).stem
+        return _parse_metis(path.read(), name or "metis-graph")
+    text = Path(path).read_text(encoding="ascii")
+    try:
+        return _parse_metis(text, name or Path(path).stem)
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
+
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _first_bad_token(lines: Sequence[str], numbers: Sequence[int]) -> str | None:
+    """Describe the first token in ``lines`` that is not a decimal integer."""
+    for number, line in zip(numbers, lines):
+        for token in line.split():
+            if not _INT_TOKEN.fullmatch(token):
+                return f"line {number}: {token!r} is not an integer"
+    return None
+
+
+def _parse_metis(text: str, name: str) -> Graph:
     # Comment lines are skipped; blank lines are *kept* because an empty
-    # adjacency line encodes an isolated node.
-    lines = [ln for ln in lines if not ln.lstrip().startswith("%")]
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    if not lines:
+    # adjacency line encodes an isolated node.  ``numbers`` keeps the
+    # 1-based file line of every kept line for error messages.
+    lines = text.splitlines()
+    numbers: Sequence[int] = range(1, len(lines) + 1)
+    if "%" in text:
+        kept = [i for i, line in enumerate(lines) if not line.lstrip().startswith("%")]
+        lines = [lines[i] for i in kept]
+        numbers = [numbers[i] for i in kept]
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if first is None:
         raise GraphError("empty METIS file")
+    lines, numbers = lines[first:], numbers[first:]
     header = lines[0].split()
+    if len(header) < 2:
+        raise GraphError(f"line {numbers[0]}: METIS header needs 'n m [fmt]'")
+    if not all(_INT_TOKEN.fullmatch(tok) for tok in header[:2]):
+        raise GraphError(_first_bad_token(lines[:1], numbers[:1]))
     n, m = int(header[0]), int(header[1])
     fmt = header[2] if len(header) > 2 else "000"
     fmt = fmt.zfill(3)
@@ -111,36 +145,58 @@ def read_metis(path: str | Path | io.TextIOBase, name: str | None = None) -> Gra
     if len(body) != n or any(ln.strip() for ln in extra):
         found = len(body) + sum(1 for ln in extra if ln.strip())
         raise GraphError(f"expected {n} adjacency lines, found {found}")
+    numbers = numbers[1 : n + 1]
+
+    # Parse every token in one call, then recover the per-line structure
+    # from the per-line token counts.  np.fromstring stops (or raises) at
+    # the first non-integer token and merges a lone sign with the next
+    # token, so a count mismatch is what flags a bad token.  (It also
+    # reads a whitespace-only string as [0], hence the ``total`` guard.)
+    counts = np.fromiter(map(len, map(str.split, body)), dtype=np.int64, count=n)
+    total = int(counts.sum())
+    tokens = np.empty(0, dtype=np.int64)
+    if total:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                tokens = np.fromstring(" ".join(body), dtype=np.int64, sep=" ")
+            except ValueError:
+                tokens = None
+    if tokens is None or tokens.size != total:
+        raise GraphError(_first_bad_token(body, numbers) or "malformed integer tokens")
 
     vwgt = np.ones(n, dtype=np.int64)
-    rows: list[int] = []
-    cols: list[int] = []
-    wgts: list[int] = []
-    for v, line in enumerate(body):
-        tokens = [int(tok) for tok in line.split()]
-        pos = 0
-        if node_weights:
-            vwgt[v] = tokens[0]
-            pos = 1
-        while pos < len(tokens):
-            u = tokens[pos] - 1
-            pos += 1
-            w = 1
-            if edge_weights:
-                w = tokens[pos]
-                pos += 1
-            if u > v:  # count each undirected edge once
-                rows.append(v)
-                cols.append(u)
-                wgts.append(w)
-    graph = from_coo(
-        n,
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(wgts, dtype=np.int64),
-        vwgt=vwgt,
-        name=name or "metis-graph",
-    )
+    if node_weights:
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            raise GraphError(f"line {numbers[missing[0]]}: missing node weight")
+        starts = np.cumsum(counts) - counts
+        vwgt = tokens[starts]
+        keep = np.ones(total, dtype=bool)
+        keep[starts] = False
+        tokens = tokens[keep]
+        counts = counts - 1
+    if edge_weights:
+        odd = np.flatnonzero(counts % 2)
+        if odd.size:
+            raise GraphError(
+                f"line {numbers[odd[0]]}: odd number of neighbour/weight tokens"
+            )
+        pairs = tokens.reshape(-1, 2)
+        nbrs, wgts = pairs[:, 0], pairs[:, 1]
+        counts = counts // 2
+    else:
+        nbrs, wgts = tokens, np.ones(tokens.size, dtype=np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+    outside = np.flatnonzero((nbrs < 1) | (nbrs > n))
+    if outside.size:
+        i = outside[0]
+        raise GraphError(
+            f"line {numbers[rows[i]]}: neighbour {nbrs[i]} is outside [1, {n}]"
+        )
+    cols = nbrs - 1
+    upper = cols > rows  # count each undirected edge once
+    graph = from_coo(n, rows[upper], cols[upper], wgts[upper], vwgt=vwgt, name=name)
     if graph.num_edges != m:
         raise GraphError(f"header promised m={m} edges, file contains {graph.num_edges}")
     return graph
@@ -315,8 +371,18 @@ def write_partition(partition: np.ndarray, path: str | Path) -> None:
 
 
 def read_partition(path: str | Path) -> np.ndarray:
-    """Read a partition file written by :func:`write_partition`."""
+    """Read a partition file written by :func:`write_partition`.
+
+    A malformed file raises :class:`GraphError` naming the path and, for
+    a non-integer token, the 1-based line.
+    """
     # Open first: a missing file then raises the standard errno
     # FileNotFoundError naming the path (np.loadtxt's own does not).
     with open(path, "r", encoding="ascii") as handle:
-        return np.loadtxt(handle, dtype=np.int64, ndmin=1)
+        text = handle.read()
+    try:
+        return np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        lines = [line.split("#", 1)[0] for line in text.splitlines()]
+        reason = _first_bad_token(lines, range(1, len(lines) + 1)) or str(exc)
+        raise GraphError(f"{path}: {reason}") from None

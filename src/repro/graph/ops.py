@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .csr import Graph
 
@@ -50,6 +48,9 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray
 
 def connected_components(graph: Graph) -> tuple[int, np.ndarray]:
     """Number of connected components and per-node component labels."""
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
     if graph.num_nodes == 0:
         return 0, np.empty(0, dtype=np.int64)
     mat = sp.csr_matrix(

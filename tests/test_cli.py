@@ -139,3 +139,46 @@ class TestMissingInput:
         assert capsys.readouterr().err.endswith(
             f"repro: error: {missing}: No such file or directory\n"
         )
+
+class TestMalformedInput:
+    """A malformed input file is one line naming path and line, exit 2."""
+
+    @pytest.fixture
+    def bad_metis(self, tmp_path):
+        path = tmp_path / "bad.metis"
+        path.write_text("3 2 001\n2 5\n1 5 3\n2\n")
+        return path
+
+    @pytest.fixture
+    def bad_partition(self, tmp_path):
+        path = tmp_path / "bad.part"
+        path.write_text("0\n1\nx\n")
+        return path
+
+    def test_partition(self, bad_metis, capsys):
+        code = main(["partition", str(bad_metis), "-k", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro: error: {bad_metis}: line 3: "
+            "odd number of neighbour/weight tokens\n"
+        )
+        assert "Traceback" not in captured.out
+
+    def test_evaluate_graph(self, bad_metis, bad_partition, capsys):
+        assert main(["evaluate", str(bad_metis), str(bad_partition)]) == 2
+        assert capsys.readouterr().err.startswith(f"repro: error: {bad_metis}: line 3: ")
+
+    def test_evaluate_partition(self, metis_graph, bad_partition, capsys):
+        assert main(["evaluate", str(metis_graph), str(bad_partition)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: {bad_partition}: line 3: 'x' is not an integer\n"
+        )
+
+    def test_initial_partition(self, metis_graph, bad_partition, capsys):
+        code = main(["partition", str(metis_graph), "-k", "2",
+                     "--initial-partition", str(bad_partition)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: {bad_partition}: line 3: 'x' is not an integer\n"
+        )
